@@ -34,12 +34,16 @@ var update = flag.Bool("update", false, "rewrite golden trajectory files")
 // energy in the 16th digit shows up here; legitimate numerical changes
 // are adopted explicitly with -update.
 //
-// Determinism requirements: one worker (a single completion order for
-// the gradient accumulation), auto-tuner off (its timing-based variant
-// arbitration is the one nondeterministic kernel ingredient), fixed
-// seeds. Pure-Go float64 arithmetic is IEEE-deterministic on a given
-// architecture; the committed files are amd64 (no fused-multiply-add
-// contraction in these kernels).
+// Determinism requirements: one engine worker (sched folds polymer
+// energies and gradients in completion order), the auto-tuner off (its
+// timing-based variant arbitration picks different kernels run to run),
+// the assembly microkernel off (its FMA contraction rounds differently
+// from the portable kernel the files were recorded with), and fixed
+// seeds. The core count does not matter: the integral and GEMM
+// fan-outs split work by problem size and reduce in a fixed order
+// (internal/par), so the files hold at any GOMAXPROCS. Pure-Go float64
+// arithmetic is IEEE-deterministic on a given architecture; the
+// committed files are amd64.
 
 // fnum is a bit-exact float64 in JSON.
 type fnum string

@@ -25,6 +25,7 @@ var targets = []string{
 	"../netcoord",   // distributed backend (operators)
 	"../sched",      // live engine options and executor seam
 	"../serve",      // trajectory-server API (service operators)
+	"../par",        // the deterministic parallel loop (kernel authors)
 }
 
 // TestExportedAPIDocumented fails for every exported top-level

@@ -2,67 +2,17 @@ package integrals
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"github.com/fragmd/fragmd/internal/basis"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/par"
 )
 
-// parallelFor splits [0, n) across GOMAXPROCS goroutines.
-func parallelFor(n int, fn func(lo, hi int)) {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > n {
-		nw = n
-	}
-	if nw <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// reduceGrads runs fn on per-worker gradient buffers and sums them into
-// grad. n is the loop bound passed through to parallelFor.
-func reduceGrads(n int, grad []float64, fn func(lo, hi int, buf []float64)) {
-	reduceGrads2(n, grad, nil, func(lo, hi int, buf, _ []float64) { fn(lo, hi, buf) })
-}
-
-// reduceGrads2 is reduceGrads over two accumulators (the bra-atom and
-// field-site gradients of the point-charge derivatives); gb may be nil.
-func reduceGrads2(n int, ga, gb []float64, fn func(lo, hi int, bufA, bufB []float64)) {
-	var mu sync.Mutex
-	parallelFor(n, func(lo, hi int) {
-		bufA := make([]float64, len(ga))
-		bufB := make([]float64, len(gb))
-		fn(lo, hi, bufA, bufB)
-		mu.Lock()
-		for i, v := range bufA {
-			ga[i] += v
-		}
-		for i, v := range bufB {
-			gb[i] += v
-		}
-		mu.Unlock()
-	})
-}
+// shellGrain is the par grain of the integral loops: one shell pair or
+// quartet is already microseconds of work, so par's chunk cap alone
+// sets the chunk size.
+const shellGrain = 1
 
 // upperPairs enumerates (i, j) with i ≤ j < n.
 func upperPairs(n int) [][2]int {
@@ -190,7 +140,7 @@ func Kinetic(bs *basis.Set) *linalg.Mat { return oneElectronMat(bs, kindKinetic)
 func oneElectronMat(bs *basis.Set, kind stKind) *linalg.Mat {
 	m := linalg.NewMat(bs.N, bs.N)
 	pairs := upperPairs(len(bs.Shells))
-	parallelFor(len(pairs), func(lo, hi int) {
+	par.For(len(pairs), shellGrain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
 			blk, _ := stPair(sa, sb, kind, false)
@@ -322,7 +272,7 @@ func Nuclear(bs *basis.Set, g *molecule.Geometry) *linalg.Mat {
 	pos, q := nuclearSites(g)
 	m := linalg.NewMat(bs.N, bs.N)
 	pairs := upperPairs(len(bs.Shells))
-	parallelFor(len(pairs), func(lo, hi int) {
+	par.For(len(pairs), shellGrain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
 			blk := linalg.NewMat(sa.NCart(), sb.NCart())
@@ -365,7 +315,8 @@ func KineticDeriv(bs *basis.Set, w *linalg.Mat, factor float64, grad []float64) 
 // accumulating on the bra atom yields the complete gradient.
 func stDeriv(bs *basis.Set, w *linalg.Mat, factor float64, grad []float64, kind stKind) {
 	pairs := allPairs(len(bs.Shells))
-	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
+	par.Reduce(len(pairs), shellGrain, func(lo, hi int, part [][]float64) {
+		buf := part[0]
 		for idx := lo; idx < hi; idx++ {
 			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
 			_, dA := stPair(sa, sb, kind, true)
@@ -379,7 +330,7 @@ func stDeriv(bs *basis.Set, w *linalg.Mat, factor float64, grad []float64, kind 
 				buf[3*sa.Atom+d] += factor * s
 			}
 		}
-	})
+	}, grad)
 }
 
 // NuclearDeriv accumulates factor·Σ_μν w_μν ∂V_μν/∂R into grad,
@@ -387,10 +338,11 @@ func stDeriv(bs *basis.Set, w *linalg.Mat, factor float64, grad []float64, kind 
 func NuclearDeriv(bs *basis.Set, g *molecule.Geometry, w *linalg.Mat, factor float64, grad []float64) {
 	pos, q := nuclearSites(g)
 	pairs := allPairs(len(bs.Shells))
-	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
+	par.Reduce(len(pairs), shellGrain, func(lo, hi int, part [][]float64) {
+		buf := part[0]
 		for idx := lo; idx < hi; idx++ {
 			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
 			coulombPair(sa, sb, pos, q, nil, w, factor, buf, buf)
 		}
-	})
+	}, grad)
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/fragmd/fragmd/internal/basis"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/par"
 )
 
 // PointCharges is an external electrostatic field of point charges —
@@ -48,7 +49,7 @@ func PointChargeMatrix(bs *basis.Set, pc *PointCharges) *linalg.Mat {
 		return m
 	}
 	pairs := upperPairs(len(bs.Shells))
-	parallelFor(len(pairs), func(lo, hi int) {
+	par.For(len(pairs), shellGrain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
 			blk := linalg.NewMat(sa.NCart(), sb.NCart())
@@ -75,12 +76,13 @@ func PointChargeDeriv(bs *basis.Set, pc *PointCharges, w *linalg.Mat, factor flo
 		return
 	}
 	pairs := allPairs(len(bs.Shells))
-	reduceGrads2(len(pairs), grad, siteGrad, func(lo, hi int, bufA, bufS []float64) {
+	par.Reduce(len(pairs), shellGrain, func(lo, hi int, part [][]float64) {
+		bufA, bufS := part[0], part[1]
 		for idx := lo; idx < hi; idx++ {
 			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
 			coulombPair(sa, sb, pc.Pos, pc.Q, nil, w, factor, bufA, bufS)
 		}
-	})
+	}, grad, siteGrad)
 }
 
 // CoulombPairTerm returns the classical Coulomb energy q_a·q_b/r of

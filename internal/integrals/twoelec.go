@@ -5,6 +5,7 @@ import (
 
 	"github.com/fragmd/fragmd/internal/basis"
 	"github.com/fragmd/fragmd/internal/linalg"
+	"github.com/fragmd/fragmd/internal/par"
 )
 
 // twoERIPre is the 2π^{5/2} prefactor common to all ERI classes.
@@ -82,7 +83,7 @@ func contractHermite(ebx, eby, ebz, ekx, eky, ekz []float64, r rCube) float64 {
 func TwoCenter(aux *basis.Set) *linalg.Mat {
 	m := linalg.NewMat(aux.N, aux.N)
 	pairs := upperPairs(len(aux.Shells))
-	parallelFor(len(pairs), func(lo, hi int) {
+	par.For(len(pairs), shellGrain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			sp, sq := &aux.Shells[pairs[idx][0]], &aux.Shells[pairs[idx][1]]
 			blk := twoCenterBlock(sp, sq, nil, 0, nil)
@@ -101,12 +102,13 @@ func TwoCenter(aux *basis.Set) *linalg.Mat {
 // TwoCenterDeriv accumulates factor·Σ_PQ ζ_PQ ∂(P|Q)/∂R into grad.
 func TwoCenterDeriv(aux *basis.Set, zeta *linalg.Mat, factor float64, grad []float64) {
 	pairs := allPairs(len(aux.Shells))
-	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
+	par.Reduce(len(pairs), shellGrain, func(lo, hi int, part [][]float64) {
+		buf := part[0]
 		for idx := lo; idx < hi; idx++ {
 			sp, sq := &aux.Shells[pairs[idx][0]], &aux.Shells[pairs[idx][1]]
 			twoCenterBlock(sp, sq, zeta, factor, buf)
 		}
-	})
+	}, grad)
 }
 
 // twoCenterBlock computes the (P|Q) block for a shell pair. With grad
@@ -179,7 +181,7 @@ func ThreeCenter(bs, aux *basis.Set) *linalg.Tensor3 {
 // ket-side factor of the three-center bound |(μν|P)| ≤ Q_μν·Q_P.
 func SchwarzAux(aux *basis.Set) []float64 {
 	q := make([]float64, len(aux.Shells))
-	parallelFor(len(aux.Shells), func(lo, hi int) {
+	par.For(len(aux.Shells), shellGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sp := &aux.Shells[i]
 			blk := twoCenterBlock(sp, sp, nil, 0, nil)
@@ -224,7 +226,7 @@ func ThreeCenterScreened(bs, aux *basis.Set, sw *linalg.Mat, thresh float64) *li
 		}
 		pairs = kept
 	}
-	parallelFor(len(pairs), func(lo, hi int) {
+	par.For(len(pairs), shellGrain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			ia, ib := pairs[idx][0], pairs[idx][1]
 			sa, sb := &bs.Shells[ia], &bs.Shells[ib]
@@ -257,14 +259,15 @@ func ThreeCenterScreened(bs, aux *basis.Set, sw *linalg.Mat, thresh float64) *li
 // ThreeCenterDeriv accumulates factor·Σ_Pμν Z_Pμν ∂(μν|P)/∂R into grad.
 func ThreeCenterDeriv(bs, aux *basis.Set, z *linalg.Tensor3, factor float64, grad []float64) {
 	pairs := allPairs(len(bs.Shells))
-	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
+	par.Reduce(len(pairs), shellGrain, func(lo, hi int, part [][]float64) {
+		buf := part[0]
 		for idx := lo; idx < hi; idx++ {
 			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
 			for ip := range aux.Shells {
 				threeCenterBlock(sa, sb, &aux.Shells[ip], z, factor, buf)
 			}
 		}
-	})
+	}, grad)
 }
 
 // threeCenterBlock computes the (μν|P) block for a bra shell pair and one
@@ -367,7 +370,7 @@ func FourCenterAll(bs *basis.Set) []float64 {
 			}
 		}
 	}
-	parallelFor(len(quartets), func(lo, hi int) {
+	par.For(len(quartets), shellGrain, func(lo, hi int) {
 		for qi := lo; qi < hi; qi++ {
 			q := quartets[qi]
 			sa, sb, sc, sd := &bs.Shells[q[0]], &bs.Shells[q[1]], &bs.Shells[q[2]], &bs.Shells[q[3]]
@@ -486,7 +489,7 @@ func SchwarzShellPairs(bs *basis.Set) *linalg.Mat {
 	nsh := len(bs.Shells)
 	q := linalg.NewMat(nsh, nsh)
 	pairs := upperPairs(nsh)
-	parallelFor(len(pairs), func(lo, hi int) {
+	par.For(len(pairs), shellGrain, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			i, j := pairs[idx][0], pairs[idx][1]
 			sa, sb := &bs.Shells[i], &bs.Shells[j]
@@ -532,53 +535,33 @@ func FockDirect(bs *basis.Set, dmat *linalg.Mat, sw *linalg.Mat, thresh float64)
 			}
 		}
 	}
-	var g *linalg.Mat
-	{
-		results := make(chan *linalg.Mat, 8)
-		nw := 0
-		chunk := (len(quartets) + 1) / 2
-		if chunk == 0 {
-			chunk = 1
-		}
-		for lo := 0; lo < len(quartets); lo += chunk {
-			hi := lo + chunk
-			if hi > len(quartets) {
-				hi = len(quartets)
-			}
-			nw++
-			go func(lo, hi int) {
-				loc := linalg.NewMat(n, n)
-				for qi := lo; qi < hi; qi++ {
-					q := quartets[qi]
-					sa, sb, sc, sd := &bs.Shells[q.a], &bs.Shells[q.b], &bs.Shells[q.c], &bs.Shells[q.d]
-					blk := fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
-					na, nb, nc, nd := sa.NCart(), sb.NCart(), sc.NCart(), sd.NCart()
-					for i := 0; i < na; i++ {
-						mu := sa.Start + i
-						for j := 0; j < nb; j++ {
-							nu := sb.Start + j
-							for k := 0; k < nc; k++ {
-								la := sc.Start + k
-								for l := 0; l < nd; l++ {
-									si := sd.Start + l
-									v := blk[((i*nb+j)*nc+k)*nd+l]
-									// Coulomb: J_μν += D_λσ (μν|λσ)
-									loc.Add(mu, nu, dmat.At(la, si)*v)
-									// Exchange: K_μλ += D_νσ (μν|λσ); G −= ½K
-									loc.Add(mu, la, -0.5*dmat.At(nu, si)*v)
-								}
-							}
+	g := linalg.NewMat(n, n)
+	par.Reduce(len(quartets), shellGrain, func(lo, hi int, part [][]float64) {
+		loc := &linalg.Mat{Rows: n, Cols: n, Data: part[0]}
+		for qi := lo; qi < hi; qi++ {
+			q := quartets[qi]
+			sa, sb, sc, sd := &bs.Shells[q.a], &bs.Shells[q.b], &bs.Shells[q.c], &bs.Shells[q.d]
+			blk := fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
+			na, nb, nc, nd := sa.NCart(), sb.NCart(), sc.NCart(), sd.NCart()
+			for i := 0; i < na; i++ {
+				mu := sa.Start + i
+				for j := 0; j < nb; j++ {
+					nu := sb.Start + j
+					for k := 0; k < nc; k++ {
+						la := sc.Start + k
+						for l := 0; l < nd; l++ {
+							si := sd.Start + l
+							v := blk[((i*nb+j)*nc+k)*nd+l]
+							// Coulomb: J_μν += D_λσ (μν|λσ)
+							loc.Add(mu, nu, dmat.At(la, si)*v)
+							// Exchange: K_μλ += D_νσ (μν|λσ); G −= ½K
+							loc.Add(mu, la, -0.5*dmat.At(nu, si)*v)
 						}
 					}
 				}
-				results <- loc
-			}(lo, hi)
+			}
 		}
-		g = linalg.NewMat(n, n)
-		for w := 0; w < nw; w++ {
-			g.AxpyMat(1, <-results)
-		}
-	}
+	}, g.Data)
 	return g
 }
 
@@ -612,11 +595,12 @@ func FourCenterDerivHF(bs *basis.Set, dmat *linalg.Mat, sw *linalg.Mat, thresh, 
 			}
 		}
 	}
-	reduceGrads(len(quartets), grad, func(lo, hi int, buf []float64) {
+	par.Reduce(len(quartets), shellGrain, func(lo, hi int, part [][]float64) {
+		buf := part[0]
 		for qi := lo; qi < hi; qi++ {
 			q := quartets[qi]
 			fourCenterBlock(&bs.Shells[q[0]], &bs.Shells[q[1]], &bs.Shells[q[2]], &bs.Shells[q[3]],
 				w4, factor, buf)
 		}
-	})
+	}, grad)
 }

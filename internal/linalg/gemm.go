@@ -1,9 +1,9 @@
 package linalg
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"github.com/fragmd/fragmd/internal/par"
 )
 
 // Transpose selects whether a GEMM operand is used as-is or transposed.
@@ -75,6 +75,11 @@ func AddFLOPs(n int64) { flopCount.Add(n) }
 // parallelThreshold is the m*n*k product above which Gemm fans work out
 // across goroutines.
 const parallelThreshold = 1 << 17
+
+// streamRowGrain is the smallest par chunk of C rows for the streaming
+// engine; each C element is computed whole by one chunk, so the split
+// never changes the result.
+const streamRowGrain = 4
 
 // Kernel selects the execution engine for a GEMM call.
 type Kernel int
@@ -227,35 +232,13 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 		return
 	}
 
-	nw := 1
-	if work > parallelThreshold {
-		nw = runtime.GOMAXPROCS(0)
-		if nw > m {
-			nw = m
-		}
-	}
-	if nw <= 1 {
+	if work <= parallelThreshold {
 		gemmRange(tA, tB, alpha, a, b, c, 0, m)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (m + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRange(tA, tB, alpha, a, b, c, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.For(m, streamRowGrain, func(lo, hi int) {
+		gemmRange(tA, tB, alpha, a, b, c, lo, hi)
+	})
 }
 
 // gemmRange dispatches rows [lo,hi) of C to the variant kernel.

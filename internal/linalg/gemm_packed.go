@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"runtime"
-	"sync"
-)
+import "github.com/fragmd/fragmd/internal/par"
 
 // gemmPacked executes C += alpha·op(A)·op(B) via the packed,
 // register-blocked engine. Both operand transposes are folded into the
@@ -141,41 +138,17 @@ func sweepTile[T packElem](kern func(kc int, pa, pb []T, alpha float64, c *Mat, 
 	}
 }
 
-// runTiles executes the tile tasks, fanning out across GOMAXPROCS
-// workers when the problem is large enough to amortise goroutine
-// startup (same threshold as the streaming engine).
+// runTiles executes the tile tasks, fanning out through par when the
+// problem is large enough to amortise goroutine start-up (same threshold
+// as the streaming engine). Tiles own disjoint elements of C.
 func runTiles(tiles int, work int64, task func(int)) {
-	nw := 1
+	grain := tiles
 	if work > parallelThreshold {
-		nw = runtime.GOMAXPROCS(0)
-		if nw > tiles {
-			nw = tiles
-		}
+		grain = 1
 	}
-	if nw <= 1 {
-		for t := 0; t < tiles; t++ {
+	par.For(tiles, grain, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
 			task(t)
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next sync.Mutex
-	cursor := 0
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				t := cursor
-				cursor++
-				next.Unlock()
-				if t >= tiles {
-					return
-				}
-				task(t)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
