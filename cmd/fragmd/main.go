@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fragmd -in system.xyz [-mode energy|grad|md|bench] [-basis sto-3g|dzp]
-//	       [-atoms-per-monomer N] [-dimer-cut Å] [-trimer-cut Å] [-ri-screen t] [-f32]
+//	       [-atoms-per-monomer N] [-dimer-cut Å] [-trimer-cut Å] [-ri-screen t]
 //	       [-box Lx,Ly,Lz] [-pbc]
 //	       [-embed] [-embed-scc N] [-embed-tol e] [-embed-damp d]
 //	       [-steps N] [-dt fs] [-temp K] [-sync] [-workers N]
@@ -77,7 +77,6 @@ import (
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
-	"github.com/fragmd/fragmd/internal/mp2"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/resilience"
 	"github.com/fragmd/fragmd/internal/scf"
@@ -141,7 +140,6 @@ func run(argv []string, out, errOut io.Writer) error {
 	batch := fs.Int("batch", 0, "tasks per coordinator batch transfer (0/1 = single-task dispatch)")
 	steal := fs.Bool("steal", false, "enable work stealing between group coordinators")
 	scs := fs.Bool("scs", false, "report SCS-MP2 energies")
-	f32 := fs.Bool("f32", false, "store packed GEMM panels in float32 (f64 accumulation) on the bandwidth-bound RI contractions; ~1e-7 relative energy error")
 	riScreen := fs.Float64("ri-screen", 0, "Schwarz screening threshold for three-center (μν|P) integrals (0 = default 1e-12, negative disables)")
 	embed := fs.Bool("embed", false, "electrostatically embed every MBE term in the other monomers' Mulliken charges (EE-MBE)")
 	embedSCC := fs.Int("embed-scc", 0, "self-consistent charge refinement rounds beyond the vacuum round")
@@ -227,13 +225,8 @@ func run(argv []string, out, errOut io.Writer) error {
 	fmt.Fprintf(out, "fragmentation: %d monomers, %d dimers, %d trimers\n",
 		len(terms.Monomers), len(terms.Dimers), len(terms.Trimers))
 
-	prec := linalg.F64
-	if *f32 {
-		prec = linalg.F32
-	}
 	eval := &potential.RIMP2{Basis: *basisName, SCS: *scs,
-		SCFOpts: scf.Options{RIScreenThresh: *riScreen, Precision: prec},
-		MP2Opts: mp2.Options{Precision: prec}}
+		SCFOpts: scf.Options{RIScreenThresh: *riScreen}}
 	var embedOpts *fragment.EmbedOptions
 	if *embed {
 		embedOpts = &fragment.EmbedOptions{SCC: *embedSCC, SCCTol: *embedTol, Damping: *embedDamp}

@@ -20,6 +20,27 @@ import (
 	"github.com/fragmd/fragmd/internal/serve"
 )
 
+// Connection limits of the serve HTTP server. A client gets
+// serveReadHeaderTimeout to send its request headers, and an idle
+// keep-alive connection is closed after serveIdleTimeout. There is
+// deliberately no ReadTimeout or WriteTimeout: either would cut the
+// long-lived /v1/jobs/{id}/stream response. Submit bodies are capped
+// by the handler itself (internal/serve).
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newServeHTTPServer wraps the API handler in an http.Server carrying
+// the connection limits above.
+func newServeHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // runServe implements "fragmd serve": listen for job submissions, run
 // trajectories under admission control and tenant fair-share, and drain
 // gracefully on SIGINT/SIGTERM — in-flight jobs park at their next
@@ -90,7 +111,7 @@ func runServe(argv []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newServeHTTPServer(s.Handler())
 	fmt.Fprintf(out, "serving on %s (state: %s)\n", ln.Addr(), *stateDir)
 
 	// Two-stage shutdown, mirroring armSignals: the first signal drains

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -122,5 +124,44 @@ func TestRunDispatchesServe(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "-state-dir is required") {
 		t.Fatalf("missing diagnostic:\n%s", errOut.String())
+	}
+}
+
+// The serve HTTP server bounds header reads and idle keep-alives but
+// sets no whole-request read or write deadline, which would cut the
+// NDJSON stream. A client that never finishes its headers is dropped
+// once the header timeout passes.
+func TestServeHTTPServerTimeouts(t *testing.T) {
+	srv := newServeHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != serveReadHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, serveReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != serveIdleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, serveIdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; both must stay 0 for the stream endpoint",
+			srv.ReadTimeout, srv.WriteTimeout)
+	}
+
+	// Slow client, with the header timeout shortened so the test is fast.
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept a header-stalled connection open: %v", err)
 	}
 }

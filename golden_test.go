@@ -15,9 +15,7 @@ import (
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/md"
-	"github.com/fragmd/fragmd/internal/mp2"
 	"github.com/fragmd/fragmd/internal/potential"
-	"github.com/fragmd/fragmd/internal/scf"
 	"github.com/fragmd/fragmd/internal/sched"
 )
 
@@ -359,7 +357,7 @@ func goldenMBEEnergy(t *testing.T) float64 {
 
 // quickstartMBE recomputes the quickstart MBE energy with the current
 // kernel configuration (tuner off so only the kernel choice varies).
-func quickstartMBE(t *testing.T, prec linalg.Precision) float64 {
+func quickstartMBE(t *testing.T) float64 {
 	t.Helper()
 	was := autotune.Default.Enabled
 	autotune.Default.Enabled = false
@@ -369,11 +367,7 @@ func quickstartMBE(t *testing.T, prec linalg.Precision) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &potential.RIMP2{
-		Basis:   "sto-3g",
-		SCFOpts: scf.Options{Precision: prec},
-		MP2Opts: mp2.Options{Precision: prec},
-	}
+	eval := &potential.RIMP2{Basis: "sto-3g"}
 	res, err := frag.Compute(eval)
 	if err != nil {
 		t.Fatal(err)
@@ -395,26 +389,8 @@ func TestGoldenQuickstartAsmTolerance(t *testing.T) {
 	prev := linalg.SetAsmEnabled(true)
 	defer linalg.SetAsmEnabled(prev)
 	want := goldenMBEEnergy(t)
-	got := quickstartMBE(t, linalg.F64)
+	got := quickstartMBE(t)
 	if d := got - want; d > 1e-7 || d < -1e-7 {
 		t.Fatalf("asm-kernel MBE energy %.12f vs golden %.12f (|Δ|=%.3g > 1e-7 Ha)", got, want, d)
-	}
-}
-
-// The mixed-precision packed path stores operands in float32
-// (≤2⁻²⁴ per-operand perturbation, f64 accumulation); the converged
-// MBE energy must stay within the documented ~1e-7 relative envelope
-// of the exact golden (~2e-5 Ha on this ~225 Ha system; measured
-// error is ~7e-8 Ha — the B-build staying exact is what keeps the
-// metric's condition number out of the error budget).
-func TestGoldenQuickstartF32Tolerance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RI-MP2 MBE is slow; run without -short")
-	}
-	want := goldenMBEEnergy(t)
-	got := quickstartMBE(t, linalg.F32)
-	tol := 1e-7 * (-want)
-	if d := got - want; d > tol || d < -tol {
-		t.Fatalf("f32-path MBE energy %.12f vs golden %.12f (|Δ|=%.3g > %.3g Ha)", got, want, d, tol)
 	}
 }

@@ -27,33 +27,26 @@ import (
 )
 
 // shape identifies a GEMM problem: C(m×n) = op(A)·op(B) with inner
-// dimension k, for the *logical* (already-op-applied) dimensions, plus
-// the precision the caller allows. Precision is part of the key so an
-// exact call never inherits a winner arbitrated with the reduced-
-// precision candidate in play (and vice versa).
+// dimension k, for the *logical* (already-op-applied) dimensions.
 type shape struct {
 	m, k, n int
-	prec    linalg.Precision
 }
 
-// Candidate execution strategies: the four streaming variants, the
-// packed engine, and the mixed-precision packed engine (arbitrated only
-// for calls that opted into F32).
+// Candidate execution strategies: the four streaming variants and the
+// packed engine.
 const (
 	candNN     = int(linalg.VariantNN)
 	candNT     = int(linalg.VariantNT)
 	candTN     = int(linalg.VariantTN)
 	candTT     = int(linalg.VariantTT)
 	candPacked = 4
-	candP32    = 5
 
-	// numCandidates is the arbitration arity: 4 streaming variants + 2
-	// packed engines. candP32 must stay last: exact (F64) calls
-	// arbitrate over the prefix [0, candP32).
-	numCandidates = 6
+	// numCandidates is the arbitration arity: 4 streaming variants + the
+	// packed engine.
+	numCandidates = 5
 )
 
-var candidateNames = [numCandidates]string{"NN", "NT", "TN", "TT", "PK", "P32"}
+var candidateNames = [numCandidates]string{"NN", "NT", "TN", "TT", "PK"}
 
 // CandidateName returns the display name of candidate index i
 // ("NN".."TT" for the streaming variants, "PK" for the packed engine).
@@ -76,8 +69,7 @@ type state struct {
 // Stats describes the tuning outcome for one GEMM shape.
 type Stats struct {
 	M, K, N    int
-	Prec       linalg.Precision // precision class this arbitration ran under
-	Best       int              // winning candidate index (see CandidateName)
+	Best       int // winning candidate index (see CandidateName)
 	Locked     bool
 	Seconds    [numCandidates]float64 // mean seconds per candidate (0 if untried)
 	GFLOPS     [numCandidates]float64 // 2mnk / mean seconds (0 if untried)
@@ -114,20 +106,8 @@ var Default = New()
 // the fastest strategy for this logical shape. Results are identical up
 // to floating-point rounding.
 func (t *Tuner) Gemm(tA, tB linalg.Transpose, alpha float64, a, b *linalg.Mat, beta float64, c *linalg.Mat) {
-	t.GemmPrec(linalg.F64, tA, tB, alpha, a, b, beta, c)
-}
-
-// GemmPrec is Gemm with a panel-precision request. F64 arbitrates the
-// exact candidates only. F32 admits the mixed-precision packed engine
-// as a sixth candidate — the call declares ~1e-7 relative accuracy is
-// acceptable, and the tuner decides per shape whether the halved panel
-// bandwidth actually wins (it can lose on small shapes, and on
-// architectures whose asm kernel has no f32 variant). Arbitration state
-// is keyed by (shape, precision), so exact and reduced-precision
-// traffic never share a winner.
-func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha float64, a, b *linalg.Mat, beta float64, c *linalg.Mat) {
 	if t == nil || !t.Enabled {
-		linalg.GemmPrec(prec, tA, tB, alpha, a, b, beta, c)
+		linalg.Gemm(tA, tB, alpha, a, b, beta, c)
 		return
 	}
 	m, k := a.Rows, a.Cols
@@ -138,11 +118,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	if tB {
 		n = b.Rows
 	}
-	sh := shape{m, k, n, prec}
-	lim := numCandidates // F32: all candidates
-	if prec != linalg.F32 {
-		lim = candP32 // exact call: exact candidates only
-	}
+	sh := shape{m, k, n}
 
 	t.mu.Lock()
 	st, ok := t.shapes[sh]
@@ -156,7 +132,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	} else {
 		// Pick the least-tried candidate for this call.
 		cand = candNN
-		for v := candNN; v < lim; v++ {
+		for v := candNN; v < numCandidates; v++ {
 			if st.trials[v] < st.trials[cand] {
 				cand = v
 			}
@@ -176,7 +152,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	st.trials[cand]++
 	st.total[cand] += elapsed
 	done := true
-	for v := candNN; v < lim; v++ {
+	for v := candNN; v < numCandidates; v++ {
 		if st.trials[v] < trialsPerCandidate {
 			done = false
 			break
@@ -184,7 +160,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	}
 	if done && !st.locked {
 		best := candNN
-		for v := candNN; v < lim; v++ {
+		for v := candNN; v < numCandidates; v++ {
 			if st.total[v]/float64(st.trials[v]) < st.total[best]/float64(st.trials[best]) {
 				best = v
 			}
@@ -225,10 +201,6 @@ func runCandidate(cand int, tA, tB linalg.Transpose, alpha float64, a, b *linalg
 		linalg.GemmKernel(linalg.KernelPacked, tA, tB, alpha, a, b, beta, c)
 		return
 	}
-	if cand == candP32 {
-		linalg.GemmKernel(linalg.KernelPackedF32, tA, tB, alpha, a, b, beta, c)
-		return
-	}
 	v := linalg.Variant(cand)
 	wantTA := v == linalg.VariantTN || v == linalg.VariantTT
 	wantTB := v == linalg.VariantNT || v == linalg.VariantTT
@@ -259,7 +231,7 @@ func (t *Tuner) Snapshot() []Stats {
 	defer t.mu.Unlock()
 	out := make([]Stats, 0, len(t.shapes))
 	for sh, st := range t.shapes {
-		s := Stats{M: sh.m, K: sh.k, N: sh.n, Prec: sh.prec, Best: st.best, Locked: st.locked}
+		s := Stats{M: sh.m, K: sh.k, N: sh.n, Best: st.best, Locked: st.locked}
 		flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
 		bestT, worstT := 0.0, 0.0
 		for v := 0; v < numCandidates; v++ {

@@ -59,7 +59,7 @@ func TestTunerLocksAfterTrials(t *testing.T) {
 	a := randMat(rng, 20, 30)
 	b := randMat(rng, 30, 10)
 	c := linalg.NewMat(20, 10)
-	for i := 0; i < candP32*trialsPerCandidate; i++ {
+	for i := 0; i < numCandidates*trialsPerCandidate; i++ {
 		tu.Gemm(linalg.NoTrans, linalg.NoTrans, 1, a, b, 0, c)
 	}
 	snap := tu.Snapshot()
@@ -69,10 +69,9 @@ func TestTunerLocksAfterTrials(t *testing.T) {
 	if !snap[0].Locked {
 		t.Fatal("tuner should be locked after trialling all candidates")
 	}
-	// All exact candidates (four streaming variants + packed) must have
-	// been timed with a GFLOP/s figure; the mixed-precision candidate
-	// must NOT have been trialled on an exact (F64) call stream.
-	for v := 0; v < candP32; v++ {
+	// Every candidate (four streaming variants + packed) must have been
+	// timed with a GFLOP/s figure.
+	for v := 0; v < numCandidates; v++ {
 		if snap[0].Seconds[v] == 0 {
 			t.Fatalf("candidate %s never trialled", CandidateName(v))
 		}
@@ -80,57 +79,8 @@ func TestTunerLocksAfterTrials(t *testing.T) {
 			t.Fatalf("candidate %s has no GFLOP/s record", CandidateName(v))
 		}
 	}
-	if snap[0].Seconds[candP32] != 0 {
-		t.Fatal("P32 candidate must not be trialled by exact calls")
-	}
 	if name := snap[0].BestName(); name == "" {
 		t.Fatal("empty best-candidate name")
-	}
-}
-
-// An F32 call stream arbitrates all six candidates, locks, keeps its
-// state separate from the F64 entry for the same (m,k,n), and stays
-// within the mixed-precision error envelope throughout.
-func TestTunerGemmPrecF32(t *testing.T) {
-	tu := New()
-	rng := rand.New(rand.NewSource(7))
-	a := randMat(rng, 20, 30)
-	b := randMat(rng, 30, 10)
-	want := linalg.NewMat(20, 10)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, a, b, 0, want)
-	for i := 0; i < numCandidates*trialsPerCandidate+2; i++ {
-		c := linalg.NewMat(20, 10)
-		tu.GemmPrec(linalg.F32, linalg.NoTrans, linalg.NoTrans, 1, a, b, 0, c)
-		for j := range c.Data {
-			if math.Abs(c.Data[j]-want.Data[j]) > 1e-5 {
-				t.Fatalf("call %d: f32 path error %g beyond envelope", i, math.Abs(c.Data[j]-want.Data[j]))
-			}
-		}
-	}
-	// One exact call with the same logical shape: must land in a
-	// distinct arbitration entry.
-	c := linalg.NewMat(20, 10)
-	tu.Gemm(linalg.NoTrans, linalg.NoTrans, 1, a, b, 0, c)
-	snap := tu.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("expected separate (shape, precision) entries, got %d", len(snap))
-	}
-	var f32Stats *Stats
-	for i := range snap {
-		if snap[i].Prec == linalg.F32 {
-			f32Stats = &snap[i]
-		}
-	}
-	if f32Stats == nil {
-		t.Fatal("no F32 arbitration entry in snapshot")
-	}
-	if !f32Stats.Locked {
-		t.Fatal("F32 entry should be locked after trialling all candidates")
-	}
-	for v := 0; v < numCandidates; v++ {
-		if f32Stats.Seconds[v] == 0 {
-			t.Fatalf("F32 stream: candidate %s never trialled", CandidateName(v))
-		}
 	}
 }
 

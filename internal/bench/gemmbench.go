@@ -12,7 +12,7 @@ import (
 
 // GemmBenchSchema identifies the BENCH_gemm.json layout; bump on
 // incompatible changes so the CI comparator can refuse stale baselines.
-// v2 added the packed-asm / packed-f32 engine rows and the
+// v2 added the packed-asm engine rows and the
 // cpu_features / microkernel provenance fields.
 const GemmBenchSchema = "fragmd-bench-gemm/v2"
 
@@ -22,7 +22,7 @@ type GemmBenchRow struct {
 	M       int     `json:"m"`       // C is m×n
 	K       int     `json:"k"`       // inner dimension
 	N       int     `json:"n"`       //
-	Kernel  string  `json:"kernel"`  // "stream-NN".."stream-TT", "packed", "packed-asm", "packed-f32"
+	Kernel  string  `json:"kernel"`  // "stream-NN".."stream-TT", "packed", "packed-asm"
 	Seconds float64 `json:"seconds"` // best-of-reps wall time
 	GFLOPS  float64 `json:"gflops"`  // 2·m·n·k / Seconds / 1e9
 	Tracked bool    `json:"tracked"` // regression-gated by the CI bench job
@@ -96,8 +96,8 @@ type engineSecs struct {
 // streaming variants, the packed engine on the portable pure-Go
 // microkernel (assembly forced off for the duration of that timing, so
 // the row means the same thing on every machine), the packed engine on
-// the native assembly microkernel when one exists, and the
-// mixed-precision packed-f32 engine. It is the single measurement
+// the native assembly microkernel when one exists. It is the single
+// measurement
 // methodology shared by Table4 and the BENCH_gemm.json suite:
 // deterministic operand fill, streaming variants fed pre-transposed
 // operands so only kernel time is on the clock, and the packed engines
@@ -113,7 +113,7 @@ func measureGemmEngines(m, k, n, reps int) []engineSecs {
 		b.Data[i] = 1e-3 * float64(i%89)
 	}
 	c := linalg.NewMat(m, n)
-	out := make([]engineSecs, 0, 7)
+	out := make([]engineSecs, 0, 6)
 	for v := 0; v < 4; v++ {
 		tA := v == 2 || v == 3
 		tB := v == 1 || v == 3
@@ -137,8 +137,6 @@ func measureGemmEngines(m, k, n, reps int) []engineSecs {
 		out = append(out, engineSecs{"packed-asm",
 			timeGemm(linalg.KernelPacked, linalg.NoTrans, linalg.NoTrans, a, b, c, reps)})
 	}
-	out = append(out, engineSecs{"packed-f32",
-		timeGemm(linalg.KernelPackedF32, linalg.NoTrans, linalg.NoTrans, a, b, c, reps)})
 	return out
 }
 
@@ -165,9 +163,9 @@ func RunGemmSuite(quick bool) *GemmBenchReport {
 		for _, e := range measureGemmEngines(s.m, s.k, s.n, reps) {
 			// Tracked rows: the shape-independent streaming reference
 			// (NN only — the other variants exist to be slow on bad
-			// shapes) and every packed engine. packed-asm and
-			// packed-f32 additionally carry same-run ratio gates
-			// against their reference engine (see ratioReference).
+			// shapes) and every packed engine. The packed engines
+			// additionally carry same-run ratio gates against their
+			// reference engine (see ratioReference).
 			tracked := s.tracked && e.kernel != "stream-NT" &&
 				e.kernel != "stream-TN" && e.kernel != "stream-TT"
 			rep.Rows = append(rep.Rows, GemmBenchRow{
@@ -277,12 +275,11 @@ func CompareGemmReports(baseline, current *GemmBenchReport, maxRegressPct float6
 // microkernel against the portable packed engine (the ratio row that
 // enforces the ≥4× acceptance bar — a regression in the asm kernel
 // shows up here even on a runner faster than the baseline machine),
-// the mixed-precision engine against the assembly engine, and the
-// blocked RI-MP2 pair loop against the pre-change per-pair loop.
+// and the blocked RI-MP2 pair loop against the pre-change per-pair
+// loop.
 var ratioReference = map[string]string{
 	"packed":     "stream-NN",
 	"packed-asm": "packed",
-	"packed-f32": "packed-asm",
 	"blocked":    "pairloop",
 }
 
@@ -299,9 +296,9 @@ func GemmBench(c *Config) {
 	}
 	c.printf("gemm microkernel: %s (cpu features: %s)\n\n", rep.MicroKernel, feats)
 	c.printf("GEMM engine microbenchmarks (GFLOP/s, best of reps; PKgo = packed engine\n")
-	c.printf("on the portable microkernel, PKasm = native assembly, PKf32 = mixed precision)\n")
-	c.printf("%-16s %6s %7s %6s  %8s %8s %8s %8s %8s %8s %8s  %9s\n",
-		"shape", "m", "k", "n", "NN", "NT", "TN", "TT", "PKgo", "PKasm", "PKf32", "asm/go")
+	c.printf("on the portable microkernel, PKasm = native assembly)\n")
+	c.printf("%-16s %6s %7s %6s  %8s %8s %8s %8s %8s %8s  %9s\n",
+		"shape", "m", "k", "n", "NN", "NT", "TN", "TT", "PKgo", "PKasm", "asm/go")
 	byShape := map[string][]GemmBenchRow{}
 	var order []string
 	var e2e []GemmBenchRow
@@ -318,7 +315,7 @@ func GemmBench(c *Config) {
 	for _, name := range order {
 		rows := byShape[name]
 		var stream [4]float64
-		var packed, packedAsm, packedF32 float64
+		var packed, packedAsm float64
 		m, k, n := rows[0].M, rows[0].K, rows[0].N
 		for _, row := range rows {
 			switch row.Kernel {
@@ -334,17 +331,15 @@ func GemmBench(c *Config) {
 				packed = row.GFLOPS
 			case "packed-asm":
 				packedAsm = row.GFLOPS
-			case "packed-f32":
-				packedF32 = row.GFLOPS
 			}
 		}
 		asmRatio := 0.0
 		if packed > 0 {
 			asmRatio = packedAsm / packed
 		}
-		c.printf("%-16s %6d %7d %6d  %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f  %8.2fx\n",
+		c.printf("%-16s %6d %7d %6d  %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f  %8.2fx\n",
 			name, m, k, n, stream[0], stream[1], stream[2], stream[3],
-			packed, packedAsm, packedF32, asmRatio)
+			packed, packedAsm, asmRatio)
 	}
 	c.printf("\nShape to verify: the packed engine beats every streaming variant on the\n")
 	c.printf("large shapes while small shapes stay streaming-competitive — the\n")

@@ -117,7 +117,6 @@ func asmSyntheticReport(goGF, asmGF float64) *GemmBenchReport {
 		Rows: []GemmBenchRow{
 			{Name: "square-256", M: 256, K: 256, N: 256, Kernel: "packed", Seconds: 1, GFLOPS: goGF, Tracked: true},
 			{Name: "square-256", M: 256, K: 256, N: 256, Kernel: "packed-asm", Seconds: 1, GFLOPS: asmGF, Tracked: true},
-			{Name: "square-256", M: 256, K: 256, N: 256, Kernel: "packed-f32", Seconds: 1, GFLOPS: asmGF * 0.9, Tracked: true},
 		},
 	}
 }
@@ -131,8 +130,7 @@ func TestCompareGemmReportsAsmRatioGate(t *testing.T) {
 	}
 	// Much faster machine but the asm kernel regressed to parity with
 	// the portable one: absolute floors all pass, only the
-	// packed-asm/packed ratio gate can fire (the f32/asm ratio then
-	// improves, so exactly one violation).
+	// packed-asm/packed ratio gate can fire, so exactly one violation.
 	bad := CompareGemmReports(base, asmSyntheticReport(40, 44), 25)
 	if len(bad) != 1 || !strings.Contains(bad[0], "packed-asm/packed ratio regressed") {
 		t.Fatalf("want 1 asm ratio violation, got %v", bad)
@@ -156,12 +154,12 @@ func TestRunGemmSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 shapes × (4 streaming + packed + packed-f32, plus packed-asm
-	// when a native microkernel ran) + the end-to-end RI-MP2 pair
-	// (blocked, pairloop) in quick mode.
-	engines := 6
-	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "packed-f32", "blocked", "pairloop"}
-	trackedPerShape := 3 // stream-NN, packed, packed-f32
+	// 4 shapes × (4 streaming + packed, plus packed-asm when a native
+	// microkernel ran) + the end-to-end RI-MP2 pair (blocked, pairloop)
+	// in quick mode.
+	engines := 5
+	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "blocked", "pairloop"}
+	trackedPerShape := 2 // stream-NN, packed
 	if linalg.AsmEnabled() {
 		engines++
 		wantKernels = append(wantKernels, "packed-asm")

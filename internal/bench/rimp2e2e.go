@@ -109,7 +109,7 @@ func runRIMP2E2ERows(quick bool) []GemmBenchRow {
 		}
 		blockedTuner := autotune.New()
 		secBlocked := time1(func() error {
-			_, _, err := mp2.PairEnergiesBlocked(qov, eps, s.nocc, 0, blockedTuner, linalg.F64)
+			_, _, err := mp2.PairEnergiesBlocked(qov, eps, s.nocc, 0, blockedTuner)
 			return err
 		})
 		pairTuner := autotune.New()

@@ -25,7 +25,7 @@ import "github.com/fragmd/fragmd/internal/par"
 // before dispatch), and alpha must be non-zero.
 func gemmPacked(tA, tB Transpose, alpha float64, a, b, c *Mat) {
 	impl := activeKernel()
-	kern := impl.f64
+	kern := impl.kernel
 	m, n := c.Rows, c.Cols
 	k := a.Cols
 	if tA {
@@ -49,63 +49,16 @@ func gemmPacked(tA, tB Transpose, alpha float64, a, b, c *Mat) {
 		}
 
 		buf := packPool.Get().(*packBuf)
-		buf.a64 = growTo(buf.a64, impl.mc*impl.kc)
-		buf.b64 = growTo(buf.b64, impl.kc*impl.nc)
+		buf.a = growTo(buf.a, impl.mc*impl.kc)
+		buf.b = growTo(buf.b, impl.kc*impl.nc)
 		for l0 := 0; l0 < k; l0 += impl.kc {
 			kc := k - l0
 			if kc > impl.kc {
 				kc = impl.kc
 			}
-			packAPanels(buf.a64, a, tA, i0, mc, l0, kc, impl.mr)
-			packBPanels(buf.b64, b, tB, l0, kc, j0, nc, impl.nr)
-			sweepTile(kern, buf.a64, buf.b64, kc, alpha, c, i0, j0, mc, nc, impl.mr, impl.nr)
-		}
-		packPool.Put(buf)
-	}
-	runTiles(nIC*nJC, int64(m)*int64(n)*int64(k), task)
-}
-
-// gemmPackedF32 is the mixed-precision packed engine: identical tiling
-// and dispatch to gemmPacked, but the A and B panels are packed as
-// float32 (halving the packing traffic and the cache footprint of the
-// panels) while every accumulation stays float64 inside the kernel.
-// C remains float64 end to end.
-func gemmPackedF32(tA, tB Transpose, alpha float64, a, b, c *Mat) {
-	impl := activeKernelF32()
-	kern := impl.f32
-	m, n := c.Rows, c.Cols
-	k := a.Cols
-	if tA {
-		k = a.Rows
-	}
-
-	nIC := (m + impl.mc - 1) / impl.mc
-	nJC := (n + impl.nc - 1) / impl.nc
-
-	task := func(tile int) {
-		ic, jc := tile/nJC, tile%nJC
-		i0 := ic * impl.mc
-		mc := m - i0
-		if mc > impl.mc {
-			mc = impl.mc
-		}
-		j0 := jc * impl.nc
-		nc := n - j0
-		if nc > impl.nc {
-			nc = impl.nc
-		}
-
-		buf := packPool.Get().(*packBuf)
-		buf.a32 = growTo(buf.a32, impl.mc*impl.kc)
-		buf.b32 = growTo(buf.b32, impl.kc*impl.nc)
-		for l0 := 0; l0 < k; l0 += impl.kc {
-			kc := k - l0
-			if kc > impl.kc {
-				kc = impl.kc
-			}
-			packAPanels(buf.a32, a, tA, i0, mc, l0, kc, impl.mr)
-			packBPanels(buf.b32, b, tB, l0, kc, j0, nc, impl.nr)
-			sweepTile(kern, buf.a32, buf.b32, kc, alpha, c, i0, j0, mc, nc, impl.mr, impl.nr)
+			packAPanels(buf.a, a, tA, i0, mc, l0, kc, impl.mr)
+			packBPanels(buf.b, b, tB, l0, kc, j0, nc, impl.nr)
+			sweepTile(kern, buf.a, buf.b, kc, alpha, c, i0, j0, mc, nc, impl.mr, impl.nr)
 		}
 		packPool.Put(buf)
 	}
@@ -117,8 +70,7 @@ func gemmPackedF32(tA, tB Transpose, alpha float64, a, b, c *Mat) {
 // L1-resident across the whole jp sweep while the narrower kc×nr B
 // panels stream from L2 — half the cold traffic per micro-kernel call
 // of the opposite nesting.
-func sweepTile[T packElem](kern func(kc int, pa, pb []T, alpha float64, c *Mat, i0, j0, me, ne int),
-	pa, pb []T, kc int, alpha float64, c *Mat, i0, j0, mc, nc, mr, nr int) {
+func sweepTile(kern microKernel, pa, pb []float64, kc int, alpha float64, c *Mat, i0, j0, mc, nc, mr, nr int) {
 	mPanels := (mc + mr - 1) / mr
 	nPanels := (nc + nr - 1) / nr
 	for ip := 0; ip < mPanels; ip++ {

@@ -6,18 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// microKernelF64 computes one register block of the packed engine:
+// microKernel computes one register block of the packed engine:
 // C[i0:i0+me, j0:j0+ne] += alpha·Ap·Bp from one packed A micro-panel
 // (kc×mr, k-major) and one packed B micro-panel (kc×nr). Padding
 // rows/columns in the panels are zero, so implementations may always
 // compute the full mr×nr tile and mask only the write-back.
-type microKernelF64 func(kc int, pa, pb []float64, alpha float64, c *Mat, i0, j0, me, ne int)
-
-// microKernelF32 is the mixed-precision variant: the packed panels
-// store float32 elements, every product is accumulated in float64
-// registers, and the write-back into C is float64. Storage precision is
-// the only thing that drops — see DESIGN.md §11 for the error model.
-type microKernelF32 func(kc int, pa, pb []float32, alpha float64, c *Mat, i0, j0, me, ne int)
+type microKernel func(kc int, pa, pb []float64, alpha float64, c *Mat, i0, j0, me, ne int)
 
 // kernelImpl bundles one micro-kernel implementation with the register
 // block shape its packed panels are laid out for and the cache-blocking
@@ -27,8 +21,7 @@ type kernelImpl struct {
 	name       string // reported by MicroKernelName and the benchmarks
 	mr, nr     int    // register block: mr rows × nr columns of C
 	mc, kc, nc int    // macro-tile blocking (rows of A, inner panel, cols of B)
-	f64        microKernelF64
-	f32        microKernelF32 // nil if this impl has no mixed-precision kernel
+	kernel     microKernel
 }
 
 // goKernel is the portable pure-Go implementation: a 4×2 register block
@@ -38,8 +31,7 @@ var goKernel = kernelImpl{
 	name: "go-4x2",
 	mr:   4, nr: 2,
 	mc: 128, kc: 256, nc: 256,
-	f64: microKernel4x2,
-	f32: microKernel4x2F32,
+	kernel: microKernel4x2,
 }
 
 // asmKernel is installed by the per-architecture init (cpu_amd64.go,
@@ -63,7 +55,7 @@ func init() {
 	}
 }
 
-// activeKernel returns the micro-kernel the packed f64 engine dispatches
+// activeKernel returns the micro-kernel the packed engine dispatches
 // to: the assembly kernel when the CPU supports one and it has not been
 // disabled, otherwise the portable Go kernel.
 func activeKernel() *kernelImpl {
@@ -71,18 +63,6 @@ func activeKernel() *kernelImpl {
 		return asmKernel
 	}
 	return &goKernel
-}
-
-// activeKernelF32 returns the micro-kernel for the mixed-precision
-// packed engine. An architecture whose assembly kernel has no f32
-// variant falls back to the portable kernel for the whole f32 path
-// (pack layout and kernel must agree on mr/nr).
-func activeKernelF32() *kernelImpl {
-	k := activeKernel()
-	if k.f32 == nil {
-		return &goKernel
-	}
-	return k
 }
 
 // AsmAvailable reports whether a CPU-specific assembly micro-kernel was
@@ -107,14 +87,10 @@ func SetAsmEnabled(on bool) (prev bool) {
 	return prev
 }
 
-// MicroKernelName returns the name of the micro-kernel the packed f64
+// MicroKernelName returns the name of the micro-kernel the packed
 // engine currently dispatches to (e.g. "avx2-6x8", "neon-8x4",
 // "go-4x2").
 func MicroKernelName() string { return activeKernel().name }
-
-// MicroKernelF32Name returns the name of the micro-kernel serving the
-// mixed-precision packed path.
-func MicroKernelF32Name() string { return activeKernelF32().name }
 
 // CPUFeatures returns the detected SIMD feature list relevant to kernel
 // dispatch as a comma-separated string (e.g. "avx,fma,avx2,avx512f" or

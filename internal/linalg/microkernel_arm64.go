@@ -10,17 +10,15 @@ func kernel8x4F64(kc int64, pa, pb *float64, alpha float64, c *float64, ldc int6
 // neonKernel is the arm64 NEON implementation, installed
 // unconditionally by cpu_arm64.go (ASIMD is architectural baseline on
 // arm64). mc=128 keeps macro-tiles in whole 8-row micro-panels; kc/nc
-// match the portable kernel. No f32 variant: the mixed-precision path
-// falls back to the portable kernel on arm64 (activeKernelF32).
+// match the portable kernel.
 var neonKernel = kernelImpl{
 	name: "neon-8x4",
 	mr:   8, nr: 4,
 	mc: 128, kc: 256, nc: 256,
-	f64: microKernelNEONF64,
-	f32: nil,
+	kernel: microKernelNEONF64,
 }
 
-// microKernelNEONF64 adapts the asm ABI to the microKernelF64
+// microKernelNEONF64 adapts the asm ABI to the microKernel
 // contract. Full tiles write straight into C; edge tiles are computed
 // into a zeroed scratch tile — which then holds exactly alpha·acc —
 // and the valid me×ne corner is added back under a mask.

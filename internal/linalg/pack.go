@@ -10,20 +10,12 @@ import "sync"
 // shape (mr×nr) live on the kernelImpl (kernel.go): the portable kernel
 // packs 4×2 micro-panels, the AVX2 kernel 6×8, the NEON kernel 8×4 —
 // the pack routines below take the shape as arguments so one packing
-// implementation serves every kernel, in both storage precisions.
-
-// packElem is the panel storage element: float64 for the exact path,
-// float32 for the mixed-precision path (f32 storage, f64 accumulation).
-type packElem interface {
-	float32 | float64
-}
+// implementation serves every kernel.
 
 // packBuf holds one worker's packing scratch, grown on demand to the
-// active kernel's macro-tile sizes in whichever precision the call
-// needs.
+// active kernel's macro-tile sizes.
 type packBuf struct {
-	a64, b64 []float64
-	a32, b32 []float32
+	a, b []float64
 }
 
 var packPool = sync.Pool{New: func() interface{} { return new(packBuf) }}
@@ -31,9 +23,9 @@ var packPool = sync.Pool{New: func() interface{} { return new(packBuf) }}
 // growTo returns s with length ≥ n, reallocating only when capacity is
 // insufficient (pool buffers are reused across kernels with different
 // blocking, so the first call per size class allocates).
-func growTo[T packElem](s []T, n int) []T {
+func growTo(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]float64, n)
 	}
 	return s[:n]
 }
@@ -43,9 +35,8 @@ func growTo[T packElem](s []T, n int) []T {
 // layout dst[l*mr+r] = op(A)(i0+ip*mr+r, l0+l); rows beyond mc are
 // zero-padded so the micro-kernel never needs a row mask. The transpose
 // is folded into the pack: after packing, the kernel is
-// orientation-free. For float32 dst the rounding to storage precision
-// happens here, once per element, not per use.
-func packAPanels[T packElem](dst []T, a *Mat, tA Transpose, i0, mc, l0, kc, mr int) {
+// orientation-free.
+func packAPanels(dst []float64, a *Mat, tA Transpose, i0, mc, l0, kc, mr int) {
 	panels := (mc + mr - 1) / mr
 	if tA {
 		// op(A)(i,l) = A[l,i]: each k-step reads mr contiguous elements
@@ -61,7 +52,7 @@ func packAPanels[T packElem](dst []T, a *Mat, tA Transpose, i0, mc, l0, kc, mr i
 				src := a.Row(l0 + l)
 				d := dst[base+l*mr : base+l*mr+mr]
 				for r := 0; r < rows; r++ {
-					d[r] = T(src[i+r])
+					d[r] = src[i+r]
 				}
 				for r := rows; r < mr; r++ {
 					d[r] = 0
@@ -86,7 +77,7 @@ func packAPanels[T packElem](dst []T, a *Mat, tA Transpose, i0, mc, l0, kc, mr i
 			src := a.Row(i + r)[l0 : l0+kc]
 			d := dst[base+r : base+(kc-1)*mr+r+1]
 			for l, v := range src {
-				d[l*mr] = T(v)
+				d[l*mr] = v
 			}
 		}
 		for r := rows; r < mr; r++ {
@@ -103,7 +94,7 @@ func packAPanels[T packElem](dst []T, a *Mat, tA Transpose, i0, mc, l0, kc, mr i
 // with layout dst[l*nr+s] = op(B)(l0+l, j0+jp*nr+s); columns beyond nc
 // are zero-padded. As with packAPanels, the transpose is folded into
 // the pack.
-func packBPanels[T packElem](dst []T, b *Mat, tB Transpose, l0, kc, j0, nc, nr int) {
+func packBPanels(dst []float64, b *Mat, tB Transpose, l0, kc, j0, nc, nr int) {
 	panels := (nc + nr - 1) / nr
 	if !tB {
 		// op(B)(l,j) = B[l,j]: each k-step reads nr contiguous elements.
@@ -116,9 +107,7 @@ func packBPanels[T packElem](dst []T, b *Mat, tB Transpose, l0, kc, j0, nc, nr i
 				for l := 0; l < kc; l++ {
 					src := b.Row(l0 + l)[j : j+nr]
 					d := dst[base+l*nr : base+l*nr+nr]
-					for s, v := range src {
-						d[s] = T(v)
-					}
+					copy(d, src)
 				}
 				continue
 			}
@@ -126,7 +115,7 @@ func packBPanels[T packElem](dst []T, b *Mat, tB Transpose, l0, kc, j0, nc, nr i
 				src := b.Row(l0 + l)
 				d := dst[base+l*nr : base+l*nr+nr]
 				for s := 0; s < cols; s++ {
-					d[s] = T(src[j+s])
+					d[s] = src[j+s]
 				}
 				for s := cols; s < nr; s++ {
 					d[s] = 0
@@ -148,7 +137,7 @@ func packBPanels[T packElem](dst []T, b *Mat, tB Transpose, l0, kc, j0, nc, nr i
 			src := b.Row(j + s)[l0 : l0+kc]
 			d := dst[base+s : base+(kc-1)*nr+s+1]
 			for l, v := range src {
-				d[l*nr] = T(v)
+				d[l*nr] = v
 			}
 		}
 		for s := cols; s < nr; s++ {

@@ -47,7 +47,7 @@ func TestPairEnergiesBlockedMatchesUnblocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, jblk := range []int{0, 1, 2, 3, 5, nocc, nocc + 7} {
-		eos, ess, err := PairEnergiesBlocked(qov, eps, nocc, jblk, nil, linalg.F64)
+		eos, ess, err := PairEnergiesBlocked(qov, eps, nocc, jblk, nil)
 		if err != nil {
 			t.Fatalf("jblk=%d: %v", jblk, err)
 		}
@@ -65,7 +65,7 @@ func TestPairEnergiesDegenerateGapError(t *testing.T) {
 	qov, bov, eps := synthPairProblem(nocc, nvir, naux)
 	eps[nocc] = eps[nocc-1] // collapse the gap
 
-	if _, _, err := PairEnergiesBlocked(qov, eps, nocc, 0, nil, linalg.F64); err == nil {
+	if _, _, err := PairEnergiesBlocked(qov, eps, nocc, 0, nil); err == nil {
 		t.Error("blocked loop accepted a degenerate reference")
 	} else if !strings.Contains(err.Error(), "HOMO–LUMO") {
 		t.Errorf("blocked loop error not descriptive: %v", err)
@@ -97,7 +97,7 @@ func TestPairEnergiesEmptySpaces(t *testing.T) {
 		qov := linalg.NewTensor3(8, c.nocc, c.nvir)
 		bov := linalg.NewTensor3(c.nocc, 8, c.nvir)
 		eps := make([]float64, c.nocc+c.nvir)
-		eos, ess, err := PairEnergiesBlocked(qov, eps, c.nocc, 0, nil, linalg.F64)
+		eos, ess, err := PairEnergiesBlocked(qov, eps, c.nocc, 0, nil)
 		if err != nil || eos != 0 || ess != 0 {
 			t.Errorf("blocked nocc=%d nvir=%d: (%g, %g, %v), want zeros", c.nocc, c.nvir, eos, ess, err)
 		}
@@ -118,7 +118,7 @@ func TestPairEnergiesSingleOrbital(t *testing.T) {
 	}
 	de := 2*eps[0] - 2*eps[1]
 	wantOS := v * v / de
-	eos, ess, err := PairEnergiesBlocked(qov, eps, 1, 0, nil, linalg.F64)
+	eos, ess, err := PairEnergiesBlocked(qov, eps, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,13 +38,6 @@ type Options struct {
 	SCS bool
 	// Tuner routes GEMMs; nil uses autotune.Default.
 	Tuner *autotune.Tuner
-	// Precision selects the packed-panel storage precision for the
-	// Qov transform and the blocked pair-energy contractions — the
-	// GEMM-bound bulk of RI-MP2. linalg.F32 bounds the correlation-
-	// energy deviation near 1e-7 relative (see DESIGN.md §11); the
-	// default F64 is exact. The unblocked reference path is always
-	// exact.
-	Precision linalg.Precision
 	// PairBlock is the occupied tile width of the blocked (i,j)-pair
 	// energy loop: each GEMM contracts a (PairBlock·nvir)-square tile
 	// of pair integrals. 0 picks a width targeting macro-tile-sized
@@ -106,7 +99,7 @@ func RIMP2(ref *scf.Result, opts Options) (*Result, error) {
 	r := &Result{SCF: ref, opts: opts}
 	r.buildQov()
 
-	eos, ess, err := PairEnergiesBlocked(r.qov, ref.Eps, nocc, opts.PairBlock, opts.Tuner, opts.Precision)
+	eos, ess, err := PairEnergiesBlocked(r.qov, ref.Eps, nocc, opts.PairBlock, opts.Tuner)
 	if err != nil {
 		return nil, err
 	}
@@ -169,9 +162,8 @@ func pairBlockFor(nocc, nvir int) int {
 // j < i inside diagonal tiles are skipped, off-diagonal pairs doubled);
 // jblk ≤ 0 selects an automatic tile width. A near-degenerate reference
 // (vanishing HOMO–LUMO gap) returns an error instead of silently
-// propagating ±Inf/NaN energies. prec selects the packed-panel storage
-// precision of the tile GEMMs (linalg.F64 is exact).
-func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int, tuner *autotune.Tuner, prec linalg.Precision) (eos, ess float64, err error) {
+// propagating ±Inf/NaN energies.
+func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int, tuner *autotune.Tuner) (eos, ess float64, err error) {
 	naux, nvir := qov.N1, qov.N3
 	if qov.N2 != nocc {
 		return 0, 0, fmt.Errorf("mp2: Qov occupied dimension %d != nocc %d", qov.N2, nocc)
@@ -227,7 +219,7 @@ func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int, tun
 			// [B_j0 … B_j1−1] (paper Eq. 9), one square macro GEMM
 			// instead of jblk² small ones.
 			v := &linalg.Mat{Rows: wi, Cols: wj, Data: vBuf[:wi*wj]}
-			tuner.GemmPrec(prec, linalg.Trans, linalg.NoTrans, 1, istrip, jstrip, 0, v)
+			tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, istrip, jstrip, 0, v)
 			for i := i0; i < i1 && i < j1; i++ {
 				iOff := (i - i0) * nvir
 				jStart := i
@@ -325,10 +317,10 @@ func (r *Result) buildQov() {
 	co := ref.COcc()
 	cv := ref.CVirt()
 	half := linalg.NewTensor3(naux, nbf, nocc)
-	tuner.GemmPrec(r.opts.Precision, linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), co, 0, half.FlattenRows())
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), co, 0, half.FlattenRows())
 	halfT := half.TransposeBlocks() // (P, i, μ)
 	r.qov = linalg.NewTensor3(naux, nocc, nvir)
-	tuner.GemmPrec(r.opts.Precision, linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), cv, 0, r.qov.FlattenRows())
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), cv, 0, r.qov.FlattenRows())
 }
 
 // buildBov derives the (i, P, a) arrangement the gradient's amplitude

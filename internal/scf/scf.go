@@ -58,15 +58,6 @@ type Options struct {
 	RIScreenThresh float64
 	// Tuner routes GEMMs; nil uses autotune.Default.
 	Tuner *autotune.Tuner
-	// Precision selects the packed-panel storage precision for the
-	// bandwidth-bound RI contractions (the B-tensor build and the
-	// exchange build). linalg.F32 stores packed GEMM panels in float32
-	// with float64 accumulation — each operand carries one ≤2⁻²⁴
-	// relative rounding, bounding the converged-energy deviation near
-	// 1e-7 relative (see DESIGN.md §11). The default F64 is exact.
-	// Small matvec-like GEMMs and the DIIS algebra stay full f64 either
-	// way.
-	Precision linalg.Precision
 	// GuessDensity, when non-nil and dimensioned nbf×nbf, replaces the
 	// core-Hamiltonian initial guess — the warm-start path for AIMD,
 	// where the previous step's converged density of the same fragment
@@ -113,20 +104,6 @@ func (o *Options) fill() {
 	}
 	if o.Tuner == nil {
 		o.Tuner = autotune.Default
-	}
-	// The mixed-precision Fock build floors the attainable DIIS residual
-	// near the float32 storage quantisation: the packed-panel rounding is
-	// deterministic but non-smooth in the density, so the error vector
-	// stalls around ~2⁻²⁴·‖F‖ no matter how many iterations run. Clamp
-	// the convergence thresholds to that noise floor rather than spinning
-	// to MaxIter and failing.
-	if o.Precision == linalg.F32 {
-		if o.ConvE < 1e-8 {
-			o.ConvE = 1e-8
-		}
-		if o.ConvErr < 1e-6 {
-			o.ConvErr = 1e-6
-		}
 	}
 }
 
@@ -230,17 +207,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		res.J2 = integrals.TwoCenter(res.Aux)
 		res.JInvHalf = linalg.InvSqrtSym(res.J2, 1e-10)
 		res.B = linalg.NewTensor3(res.Aux.N, bs.N, bs.N)
-		// The B-build stays exact even under Options.Precision = F32:
-		// J^{-1/2} has large entries whenever the RI metric is
-		// ill-conditioned, so float32 panel quantisation here is
-		// amplified by the metric's condition number and lands ~mHa
-		// errors in the Coulomb energy (measured on the water-trimer
-		// golden). It is also a one-time contraction — the bandwidth-
-		// bound per-iteration work the mixed-precision path targets is
-		// the exchange build below and the MP2 transforms.
 		opts.Tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, res.JInvHalf, res.V3.Flatten(), 0, res.B.Flatten())
 		fockBuild = func(d, co *linalg.Mat) *linalg.Mat {
-			return res.riFock(d, co, opts.Tuner, opts.Precision)
+			return res.riFock(d, co, opts.Tuner)
 		}
 	} else if opts.StoredERI {
 		res.Schwarz = integrals.SchwarzShellPairs(bs)
@@ -337,10 +306,8 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 }
 
 // riFock builds F = h + J − ½K from the resident B tensor with GEMMs
-// (paper Eq. 8). co is the occupied coefficient block. prec applies to
-// the exchange-build GEMMs only; the Coulomb matvecs are tiny and stay
-// exact.
-func (r *Result) riFock(d, co *linalg.Mat, tuner *autotune.Tuner, prec linalg.Precision) *linalg.Mat {
+// (paper Eq. 8). co is the occupied coefficient block.
+func (r *Result) riFock(d, co *linalg.Mat, tuner *autotune.Tuner) *linalg.Mat {
 	nbf := r.Bs.N
 	naux := r.Aux.N
 	nocc := co.Cols
@@ -356,13 +323,13 @@ func (r *Result) riFock(d, co *linalg.Mat, tuner *autotune.Tuner, prec linalg.Pr
 	m := linalg.NewMat(nbf, naux*nocc)
 	tp := linalg.NewMat(nbf, nocc)
 	for p := 0; p < naux; p++ {
-		tuner.GemmPrec(prec, linalg.NoTrans, linalg.NoTrans, 1, r.B.Slice(p), co, 0, tp)
+		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.Slice(p), co, 0, tp)
 		for mu := 0; mu < nbf; mu++ {
 			copy(m.Row(mu)[p*nocc:(p+1)*nocc], tp.Row(mu))
 		}
 	}
 	k := linalg.NewMat(nbf, nbf)
-	tuner.GemmPrec(prec, linalg.NoTrans, linalg.Trans, 1, m, m, 0, k)
+	tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, m, m, 0, k)
 
 	// M Mᵀ = Σ_P B_P (C_o C_oᵀ) B_P = ½ K[D] since D = 2 C_o C_oᵀ, so the
 	// −½K[D] exchange term is −1·(M Mᵀ).

@@ -50,45 +50,65 @@ func chaosRun(t *testing.T, f *fragment.Fragmentation, opts Options, steps int) 
 	return stats, eng
 }
 
-// The chaos acceptance test: a trajectory under injected task
-// failures, a worker death, stragglers and speculation reproduces the
+// The chaos acceptance test: trajectories under injected task
+// failures, a worker death, stragglers and speculation reproduce the
 // failure-free trajectory's energies to ≤ 1e-10 Ha — resilience
 // changes placement and retries, never physics.
+//
+// The worker death and speculation run separately. Worker 2 dies on its
+// first task, which the coordinator's opening sweep always hands it
+// (workers 0..3 get one task each before any completion). Without
+// speculation the run cannot finish until that death is reported and
+// the task reclaimed, so the eviction is counted on every schedule.
+// With speculation a twin copy can finish the dead worker's task before
+// its goroutine ever runs, and the run would end with the death unseen.
 func TestChaosEnergiesMatchFailureFree(t *testing.T) {
 	f := chaosSystem(t)
 	const steps = 4
 	clean, _ := chaosRun(t, f, Options{Workers: 4}, steps)
 
-	inj, err := resilience.NewFailureInjector(resilience.InjectOptions{
-		Seed:          5,
-		TaskFailProb:  0.15,
-		DeadWorkers:   map[int]int{2: 3}, // worker 2 dies starting its 4th task
-		StragglerProb: 0.1, StragglerFactor: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos, eng := chaosRun(t, f, Options{
-		Workers: 4, MaxRetries: 8, Speculate: true, Injector: inj,
-	}, steps)
+	for _, tc := range []struct {
+		name      string
+		speculate bool
+		dead      map[int]int
+		evicted   int
+	}{
+		{"worker-death", false, map[int]int{2: 0}, 1},
+		{"speculation", true, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj, err := resilience.NewFailureInjector(resilience.InjectOptions{
+				Seed:          5,
+				TaskFailProb:  0.15,
+				DeadWorkers:   tc.dead,
+				StragglerProb: 0.1, StragglerFactor: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chaos, eng := chaosRun(t, f, Options{
+				Workers: 4, MaxRetries: 8, Speculate: tc.speculate, Injector: inj,
+			}, steps)
 
-	if len(chaos) != len(clean) {
-		t.Fatalf("chaos run reported %d steps, clean %d", len(chaos), len(clean))
-	}
-	for i := range clean {
-		if d := math.Abs(chaos[i].Etot - clean[i].Etot); d > 1e-10 {
-			t.Errorf("step %d: |ΔEtot| = %.3e Ha under failure injection (> 1e-10)", i, d)
-		}
-		if d := math.Abs(chaos[i].Epot - clean[i].Epot); d > 1e-10 {
-			t.Errorf("step %d: |ΔEpot| = %.3e Ha under failure injection (> 1e-10)", i, d)
-		}
-	}
-	st := eng.RunStats()
-	if st.Retries == 0 {
-		t.Error("no retries recorded — the injector never fired, test is vacuous")
-	}
-	if st.Evicted != 1 {
-		t.Errorf("Evicted = %d, want 1 (worker 2's scripted death)", st.Evicted)
+			if len(chaos) != len(clean) {
+				t.Fatalf("chaos run reported %d steps, clean %d", len(chaos), len(clean))
+			}
+			for i := range clean {
+				if d := math.Abs(chaos[i].Etot - clean[i].Etot); d > 1e-10 {
+					t.Errorf("step %d: |ΔEtot| = %.3e Ha under failure injection (> 1e-10)", i, d)
+				}
+				if d := math.Abs(chaos[i].Epot - clean[i].Epot); d > 1e-10 {
+					t.Errorf("step %d: |ΔEpot| = %.3e Ha under failure injection (> 1e-10)", i, d)
+				}
+			}
+			st := eng.RunStats()
+			if st.Retries == 0 {
+				t.Error("no retries recorded — the injector never fired, test is vacuous")
+			}
+			if st.Evicted != tc.evicted {
+				t.Errorf("Evicted = %d, want %d (scripted deaths: %v)", st.Evicted, tc.evicted, tc.dead)
+			}
+		})
 	}
 }
 

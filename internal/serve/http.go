@@ -17,7 +17,7 @@ import (
 //	GET  /v1/stats             per-tenant census       → 200
 //
 // Overload and drain reject submissions with 503; invalid specs are
-// 400; unknown jobs are 404.
+// 400; submit bodies over maxSubmitBytes are 413; unknown jobs are 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -38,6 +38,11 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	enc.Encode(v)
 }
 
+// maxSubmitBytes caps a submit request body. A JobSpec carries its
+// geometry inline as XYZ text (~40 bytes per atom), so this admits
+// ~100k atoms while bounding what one request can make the server read.
+const maxSubmitBytes = 4 << 20
+
 // apiError is the uniform error payload.
 type apiError struct {
 	Error string `json:"error"`
@@ -45,8 +50,14 @@ type apiError struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
+	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{"bad request body: " + err.Error()})
 		return
 	}
 	view, err := s.Submit(spec)

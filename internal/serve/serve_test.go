@@ -514,6 +514,47 @@ func TestRejection(t *testing.T) {
 	}
 }
 
+// A submit body over maxSubmitBytes is refused with a JSON 413 before
+// the server reads past the cap; a body just under it is decoded and
+// judged on its content.
+func TestSubmitBodyCap(t *testing.T) {
+	s, err := New(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// bodyOf builds a submit body of exactly n bytes whose XYZ is junk.
+	bodyOf := func(n int) []byte {
+		head := []byte(`{"tenant":"t","steps":3,"xyz":"`)
+		tail := []byte(`"}`)
+		return append(append(head, bytes.Repeat([]byte("x"), n-len(head)-len(tail))...), tail...)
+	}
+	for _, c := range []struct {
+		size int
+		want int
+	}{
+		{maxSubmitBytes + 1, http.StatusRequestEntityTooLarge},
+		{maxSubmitBytes, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(bodyOf(c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%d-byte body: status %d, want %d", c.size, resp.StatusCode, c.want)
+		}
+		if decErr != nil || e.Error == "" {
+			t.Errorf("%d-byte body: no JSON error payload (%v)", c.size, decErr)
+		}
+	}
+}
+
 // serve can front a netcoord worker fleet: the evaluations run in a
 // worker process (here a goroutine) and the trajectory still matches
 // the serial reference. Mismatched physics is rejected at admission.
